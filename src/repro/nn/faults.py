@@ -11,18 +11,39 @@ path: each unsigned product ``q_a * q_w`` computed by the (8x8) multiplier
 is hit independently with probability ``probability``; a hit flips one
 randomly chosen bit among ``msb_bits``.  Instead of materialising every
 product, the injector samples the number of hits from the exact binomial
-distribution and scatter-adds the corresponding value deltas into the
-accumulator matrix, which keeps the NumPy inference fast while remaining
-statistically faithful.
+distribution, gathers the hit products through flat indices and
+scatter-adds the corresponding value deltas into the accumulator matrix
+with one ``np.bincount``, which keeps the NumPy inference fast while
+remaining statistically faithful.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import observability
 from repro.utils.rng import make_rng
+
+
+def gather_products(
+    q_activations: np.ndarray, q_weights: np.ndarray, flat_indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Products ``q_a[i, k] * q_w[k, j]`` at flat indices of the (M, K, N) grid.
+
+    Returns the int64 products and their flat accumulator cells ``i * N + j``.
+    A flat index is ``(i * K + k) * N + j``, so one divmod chain recovers the
+    flat activation index and ``(i, k, j)``; both operands are then read
+    with a flat ``take``.
+    """
+    inner = q_activations.shape[1]
+    cols = q_weights.shape[1]
+    activation_index, j = np.divmod(flat_indices, cols)
+    i, k = np.divmod(activation_index, inner)
+    products = np.take(q_activations, activation_index) * np.take(q_weights, k * cols + j)
+    return products.astype(np.int64), i * cols + j
 
 
 @dataclass
@@ -37,7 +58,10 @@ class MsbBitFlipInjector:
         rng: seed or generator for the random fault locations.
         max_events_per_call: safety cap on the number of injected faults per
             call (prevents pathological memory use if the caller passes an
-            enormous probability and operand count).
+            enormous probability and operand count).  A binomial draw above
+            the cap is clamped to it, which biases the fault rate low; the
+            clamp is never silent: it emits a ``RuntimeWarning`` and adds
+            the dropped events to the ``nn.faults.truncated`` counter.
     """
 
     probability: float
@@ -89,21 +113,25 @@ class MsbBitFlipInjector:
         num_events = int(self._generator.binomial(total_products, self.probability))
         if num_events == 0:
             return None
-        num_events = min(num_events, self.max_events_per_call)
+        if num_events > self.max_events_per_call:
+            dropped = num_events - self.max_events_per_call
+            observability.add("nn.faults.truncated", dropped)
+            warnings.warn(
+                f"MsbBitFlipInjector drew {num_events} faults in one call; clamped to "
+                f"max_events_per_call={self.max_events_per_call}, dropping {dropped}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            num_events = self.max_events_per_call
+        observability.add("nn.faults.events", num_events)
 
         flat_indices = self._generator.integers(0, total_products, size=num_events)
-        i = flat_indices // (inner * cols)
-        remainder = flat_indices % (inner * cols)
-        k = remainder // cols
-        j = remainder % cols
-        products = q_activations[i, k].astype(np.int64) * q_weights[k, j].astype(np.int64)
+        products, cells = gather_products(q_activations, q_weights, flat_indices)
         bits = self._generator.choice(np.array(self.msb_bits), size=num_events)
-        bit_values = (products >> bits) & 1
-        deltas_values = np.where(bit_values == 1, -(1 << bits), (1 << bits)).astype(np.float64)
-
-        deltas = np.zeros((rows, cols), dtype=np.float64)
-        np.add.at(deltas, (i, j), deltas_values)
-        return deltas
+        # Flipping bit b moves the product by (p XOR 2^b) - p = ±2^b.
+        values = ((products ^ (1 << bits)) - products).astype(np.float64)
+        deltas = np.bincount(cells, weights=values, minlength=rows * cols)
+        return deltas.reshape(rows, cols)
 
     def expected_faults(self, num_products: int) -> float:
         """Expected number of injected faults over ``num_products`` MACs."""

@@ -1,14 +1,17 @@
 """Low-level tensor operations shared by the NN layers.
 
-All activations use the NCHW layout.  Convolutions are implemented with an
-im2col/col2im pair so both FP32 inference/training and the integer
-(quantized) execution path share the exact same operand matrices — the
-integer path is what the paper's MAC-level analysis operates on.
+All activations use the NCHW layout.  FP32 convolutions (inference,
+training and quantization calibration) run through an im2col/col2im pair.
+The integer execution path quantizes a layer's input first and unfolds the
+padded codes with :func:`unfold`; its operand matrix is the quantized
+im2col matrix, element for element, at a ninth of the quantization work for
+3x3 kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -54,6 +57,26 @@ def im2col(
             columns[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
     # (N, C, kh, kw, oh, ow) -> (N, oh, ow, C, kh, kw) -> (N*oh*ow, C*kh*kw)
     columns = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
+        batch * out_h * out_w, channels * kernel_h * kernel_w
+    )
+    return columns, out_h, out_w
+
+
+def unfold(
+    padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int
+) -> tuple[np.ndarray, int, int]:
+    """Unfold a padded (N, C, H, W) array into convolution columns.
+
+    Same layout as :func:`im2col` with ``padding=0`` (padding is the
+    caller's, with whatever fill value it needs), built from a strided
+    window view with a single copy.
+    """
+    batch, channels, height, width = padded.shape
+    out_h = conv_output_size(height, kernel_h, stride, 0)
+    out_w = conv_output_size(width, kernel_w, stride, 0)
+    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(2, 3))
+    # (N, C, oh, ow, kh, kw) -> (N, oh, ow, C, kh, kw) -> (N*oh*ow, C*kh*kw)
+    columns = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5).reshape(
         batch * out_h * out_w, channels * kernel_h * kernel_w
     )
     return columns, out_h, out_w

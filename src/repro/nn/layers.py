@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, conv_output_size, im2col, unfold
 from repro.utils.rng import make_rng
 
 
@@ -72,7 +72,11 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """2-D convolution (NCHW, square kernels) executed through im2col."""
+    """2-D convolution (NCHW, square kernels) executed as a GEMM.
+
+    FP32 passes unfold the input with :func:`im2col`.  Integer passes
+    quantize the input first and unfold the zero-point-padded codes.
+    """
 
     def __init__(
         self,
@@ -153,9 +157,14 @@ class Conv2D(Layer):
 
     # ------------------------------------------------------------- quantized
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
-        columns, out_h, out_w = im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
+        if context.is_calibrating:
+            columns, out_h, out_w = im2col(
+                x, self.kernel_size, self.kernel_size, self.stride, self.padding
+            )
+        else:
+            # Quantize once, pad with the zero-point code, then unfold codes.
+            codes = context.quantize_input(self, x, self.padding)
+            columns, out_h, out_w = unfold(codes, self.kernel_size, self.kernel_size, self.stride)
         weight_matrix = self.weight.value.reshape(self.out_channels, -1)
         output = context.linear(self, columns, weight_matrix, self.bias.value)
         batch = x.shape[0]
@@ -203,6 +212,8 @@ class Dense(Layer):
         return grad @ self.weight.value
 
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
+        if not context.is_calibrating:
+            x = context.quantize_input(self, x)
         return context.linear(self, x, self.weight.value, self.bias.value)
 
 

@@ -11,6 +11,15 @@ inference the paper's NPU performs:
 * an optional :class:`~repro.nn.faults.MsbBitFlipInjector` perturbs those
   raw products to model aging-induced timing errors of an unprotected NPU.
 
+Integer inference quantizes each layer's input *once, before* unfolding
+(:meth:`QuantizationContext.quantize_input`): activation quantization is
+per-tensor and elementwise, so it commutes with the im2col unfold, and the
+convolution padding becomes the zero-point code (the code of real 0.0).
+The float64 weight codes and their column sums are built once per layer in
+:meth:`QuantizationContext.finalize`.  Codes are integers held in float64,
+so the GEMM and every code sum are exact (all sums stay below 2**53) and
+the result does not depend on the unfold order.
+
 The quantization *method* (M1..M5) only decides the clipping ranges; the
 execution path is identical for all methods, so accuracy differences are
 attributable to the range/bias-correction choices alone, as in the paper.
@@ -22,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import observability
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.layers import Layer
 from repro.nn.model import Model
@@ -43,6 +53,11 @@ class LayerQuantization:
         quantized_bias: integer bias codes at the accumulator scale.
         bias_scale: per-output-channel scale of the accumulator
             (``s_a * s_w``).
+        weight_codes: ``quantized_weights`` transposed to (K, N) in float64,
+            the right-hand GEMM operand of every integer call.
+        weight_col_sums: per-output-channel sums of the weight codes, (N,).
+        activation_zero_code: code of real 0.0 on the activation grid, the
+            value convolution padding takes in code space.
     """
 
     activation: QuantParams
@@ -51,6 +66,9 @@ class LayerQuantization:
     quantized_weights: np.ndarray
     quantized_bias: np.ndarray
     bias_scale: np.ndarray
+    weight_codes: np.ndarray
+    weight_col_sums: np.ndarray
+    activation_zero_code: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,8 @@ class QuantizationContext:
     The context runs in two phases.  In the calibration phase the model is
     executed in FP32 while the context records a sample of each quantizable
     layer's input activations and a reference to its weights.  After
-    :meth:`finalize` the context switches to the run phase, where
+    :meth:`finalize` the context switches to the run phase, where layers
+    turn their inputs into codes with :meth:`quantize_input` and
     :meth:`linear` performs the integer computation.
     """
 
@@ -170,6 +189,7 @@ class QuantizationContext:
         quantized_bias = np.clip(
             np.round(bias / bias_scale), -bias_limit, bias_limit - 1
         )
+        weight_codes = np.ascontiguousarray(quantized_weights.astype(np.float64).T)
         return LayerQuantization(
             activation=activation,
             weight_encode=weight_encode,
@@ -177,9 +197,40 @@ class QuantizationContext:
             quantized_weights=quantized_weights,
             quantized_bias=quantized_bias,
             bias_scale=bias_scale,
+            weight_codes=weight_codes,
+            weight_col_sums=weight_codes.sum(axis=0),
+            activation_zero_code=float(activation.quantize(0.0)),
         )
 
     # -------------------------------------------------------------- execution
+    def _params(self, layer: Layer) -> LayerQuantization:
+        try:
+            return self.layer_params[layer.name]
+        except KeyError:
+            raise KeyError(
+                f"layer {layer.name!r} has no quantization parameters; "
+                "was the context calibrated on this model?"
+            ) from None
+
+    def quantize_input(self, layer: Layer, x: np.ndarray, padding: int = 0) -> np.ndarray:
+        """Activation codes of ``layer``'s input, as float64.
+
+        ``x`` is the layer's FP32 input (NCHW for a convolution, (M, K) for a
+        dense layer).  With ``padding > 0`` the two spatial axes of an NCHW
+        input are padded with the activation zero-point code, which is what
+        quantizing a zero-padded input would give.
+        """
+        params = self._params(layer)
+        if padding == 0:
+            return params.activation.quantize(x).astype(np.float64)
+        batch, channels, height, width = x.shape
+        codes = np.full(
+            (batch, channels, height + 2 * padding, width + 2 * padding),
+            params.activation_zero_code,
+        )
+        codes[:, :, padding:-padding, padding:-padding] = params.activation.quantize(x)
+        return codes
+
     def linear(
         self,
         layer: Layer,
@@ -189,23 +240,18 @@ class QuantizationContext:
     ) -> np.ndarray:
         """Quantized affine transform ``inputs @ weights.T + bias``.
 
-        ``inputs`` is the (M, K) FP32 operand matrix (im2col columns for a
-        convolution, features for a dense layer), ``weights`` the (N, K)
-        FP32 weight matrix.  During calibration the FP32 result is returned
-        and the operands recorded; afterwards the integer path runs.
+        During calibration ``inputs`` is the (M, K) FP32 operand matrix (im2col
+        columns for a convolution, features for a dense layer) and
+        ``weights`` the (N, K) FP32 weight matrix: the FP32 result is returned
+        and the operands recorded.  Afterwards ``inputs`` holds the (M, K)
+        activation codes from :meth:`quantize_input` and the integer path
+        runs on the layer's cached weight codes.
         """
-        weights = weights.reshape(weights.shape[0], -1)
         if self._calibrating:
+            weights = weights.reshape(weights.shape[0], -1)
             self._observe(layer.name, inputs, weights, bias)
             return inputs @ weights.T + bias
-        try:
-            params = self.layer_params[layer.name]
-        except KeyError:
-            raise KeyError(
-                f"layer {layer.name!r} has no quantization parameters; "
-                "was the context calibrated on this model?"
-            ) from None
-        return self._integer_linear(inputs, params)
+        return self._integer_linear(inputs, self._params(layer))
 
     def _observe(
         self, layer_name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
@@ -232,39 +278,36 @@ class QuantizationContext:
             np.asarray(bias, dtype=np.float64),
         )
 
-    def _integer_linear(self, inputs: np.ndarray, params: LayerQuantization) -> np.ndarray:
-        # Integer codes (held in float64 for exact, BLAS-accelerated matmul).
-        q_activations = params.activation.quantize(inputs).astype(np.float64)
-        q_weights = params.quantized_weights.astype(np.float64).T  # (K, N)
-        inner = q_activations.shape[1]
+    def _integer_linear(self, q_activations: np.ndarray, params: LayerQuantization) -> np.ndarray:
+        # Integer codes held in float64: the GEMM and the sums are exact.
+        rows, inner = q_activations.shape
+        outputs = params.weight_codes.shape[1]
+        observability.add("nn.macs", rows * inner * outputs)
 
-        raw = q_activations @ q_weights  # the unsigned MAC products, accumulated
+        accumulator = q_activations @ params.weight_codes  # the unsigned MAC products, summed
         if self.fault_injector is not None:
-            deltas = self.fault_injector.accumulation_deltas(q_activations, q_weights)
+            deltas = self.fault_injector.accumulation_deltas(q_activations, params.weight_codes)
             if deltas is not None:
-                raw = raw + deltas
+                accumulator += deltas
 
         activation_zero = float(np.asarray(params.activation.zero_point).reshape(-1)[0])
         activation_scale = float(np.asarray(params.activation.scale).reshape(-1)[0])
         weight_zero = np.broadcast_to(
-            np.asarray(params.weight_decode.zero_point, dtype=np.float64),
-            (params.quantized_weights.shape[0],),
+            np.asarray(params.weight_decode.zero_point, dtype=np.float64), (outputs,)
         )
         weight_scale = np.broadcast_to(
-            np.asarray(params.weight_decode.scale, dtype=np.float64),
-            (params.quantized_weights.shape[0],),
+            np.asarray(params.weight_decode.scale, dtype=np.float64), (outputs,)
         )
 
+        # Zero-point corrections, bias and rescaling, applied in place in the
+        # order of ``scale * (raw - Σq_a·z_w - z_a·Σq_w + K·z_a·z_w + bias)``.
         row_sums = q_activations.sum(axis=1, keepdims=True)  # (M, 1)
-        col_sums = params.quantized_weights.astype(np.float64).sum(axis=1)  # (N,)
-        accumulator = (
-            raw
-            - row_sums * weight_zero[None, :]
-            - activation_zero * col_sums[None, :]
-            + inner * activation_zero * weight_zero[None, :]
-        )
-        accumulator = accumulator + params.quantized_bias[None, :]
-        return activation_scale * weight_scale[None, :] * accumulator
+        accumulator -= row_sums * weight_zero[None, :]
+        accumulator -= activation_zero * params.weight_col_sums[None, :]
+        accumulator += inner * activation_zero * weight_zero[None, :]
+        accumulator += params.quantized_bias[None, :]
+        accumulator *= activation_scale * weight_scale[None, :]
+        return accumulator
 
 
 class QuantizedModel:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 import repro.observability as observability
@@ -25,6 +26,8 @@ from repro.circuits.simulator import EventCounters
 from repro.experiments.reporting import _jsonify
 from repro.experiments.runner import main as runner_main
 from repro.experiments.settings import ExperimentSettings
+from repro.nn.faults import MsbBitFlipInjector
+from repro.nn.quantized import QuantizedModel
 from repro.observability import ObservabilitySnapshot
 from repro.observability.export import (
     SIDECAR_SCHEMA_VERSION,
@@ -36,6 +39,7 @@ from repro.observability.export import (
 from repro.observability.metrics import BUCKET_BOUNDS, Gauge, Histogram, MetricsRegistry
 from repro.observability.tracer import NULL_ARGS, NULL_SPAN
 from repro.pipeline import ArtifactCache, run_pipeline
+from repro.quantization.registry import get_method
 from repro.timing.error_model import sweep_timing_errors
 
 
@@ -254,6 +258,34 @@ class TestInertness:
         with observability.enabled():
             on = sweep_timing_errors(small_multiplier, **kwargs)
         assert on == off
+
+    @pytest.mark.parametrize("probability", [0.0, 0.02])
+    def test_quantized_logits_identical_on_vs_off(
+        self, probability, tiny_model, tiny_calibration, tiny_dataset
+    ):
+        model = QuantizedModel.build(
+            tiny_model, get_method("M4"), 6, 7, calibration_data=tiny_calibration
+        )
+        x = tiny_dataset.x_test[:10]
+
+        def logits():
+            if probability:
+                model.set_fault_injector(MsbBitFlipInjector(probability, rng=4))
+            return model.predict_logits(x)
+
+        off = logits()
+        with observability.collecting() as snap:
+            on = logits()
+        assert np.array_equal(on, off)
+        # nn.macs counts M*K*N of every integer call: the model's MACs.
+        conv1, _, _, conv2, _, _, dense = tiny_model.layers
+        shape = x.shape[1:]
+        pooled = (conv1.out_channels, shape[1] // 2, shape[2] // 2)
+        macs = conv1.macs_per_sample(shape) + conv2.macs_per_sample(pooled) + dense.macs_per_sample()
+        assert snap.metrics.counter("nn.macs") == macs * x.shape[0]
+        events = snap.metrics.counter("nn.faults.events")
+        assert (events > 0) == (probability > 0)
+        assert snap.metrics.counter("nn.faults.truncated") == 0
 
 
 class TestGlitchSummary:
